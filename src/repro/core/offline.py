@@ -118,6 +118,12 @@ def offline_compile(source: str, name: str = "module", *,
                     annotate_hw: bool = True,
                     hotness: Optional[Dict[str, int]] = None,
                     verify: bool = True) -> OfflineArtifact:
+    """Compile ``source`` to a PVI artifact (both bytecode flavours).
+
+    With ``verify=True`` (the default) the IR verifier checks every
+    function after every pass that changed the function, and once at
+    exit, and the bytecode verifier checks both emitted modules.
+    """
     from repro.flows import run_pipeline
 
     spec = effective_pipeline(pipeline, optimize=optimize,

@@ -34,6 +34,7 @@ from repro.jit import JITOptions
 from repro.opt import (
     PassManager, PassStats, STANDARD_PASS_NAMES, resolve_passes,
 )
+from repro.opt.pass_manager import verify_after
 
 #: bytecode flavours a flow may ship (see ``OfflineArtifact``)
 BYTECODE_FLAVOURS = ("vector", "scalar")
@@ -101,7 +102,9 @@ def run_pipeline(func, spec: PipelineSpec,
     The returned :class:`PassStats` covers the pass pipeline plus the
     ``unroll`` and ``vectorize`` stages (recorded as pseudo-passes), so
     its total work is exactly the offline analysis effort spent on
-    ``func``.
+    ``func``.  With ``verify=True`` the IR verifier runs after every
+    pass that changed the function, pseudo-passes included, and once
+    at the exit of each pass-pipeline run.
     """
     from repro.opt.unroll import unroll as unroll_pass
     from repro.opt.vectorize import vectorize as vectorize_pass
@@ -116,6 +119,8 @@ def run_pipeline(func, spec: PipelineSpec,
         stats.record("unroll", result.work, time.perf_counter() - start,
                      result.changed, size, after)
         size = after
+        if verify and result.changed:
+            verify_after(func, "unroll")
         if result.changed and spec.passes:
             # Rerun the pipeline over the unrolled body — this is the
             # point of unrolling offline: LICM/CSE/folding across what
@@ -134,6 +139,8 @@ def run_pipeline(func, spec: PipelineSpec,
         stats.record("vectorize", result.work,
                      time.perf_counter() - start, result.changed,
                      size, after)
+        if verify and result.changed:
+            verify_after(func, "vectorize")
     return stats
 
 

@@ -187,6 +187,18 @@ def _ir_size(func: Function) -> int:
     return sum(1 for _ in func.instructions())
 
 
+def verify_after(func: Function, name: str) -> None:
+    """Run the IR verifier on ``func``; a failure raises an
+    ``AssertionError`` naming ``name`` as the pass that broke it."""
+    from repro.ir.verify import verify_function
+
+    try:
+        verify_function(func)
+    except Exception as exc:
+        raise AssertionError(
+            f"pass {name!r} broke {func.name!r}: {exc}") from exc
+
+
 class PassManager:
     """Runs a named pipeline of passes to a fixpoint (bounded)."""
 
@@ -195,8 +207,12 @@ class PassManager:
                  verify: bool = False):
         """``passes`` is a list of ``(name, fn)`` tuples.
 
-        With ``verify=True`` the IR verifier runs after every pass —
-        slow, but the default in the test suite.
+        With ``verify=True`` the IR verifier runs after every pass that
+        changed the function, and once at exit — so no function leaves
+        a verifying run unverified, even when no pass changed it.  A
+        pass that reports ``changed=False`` must leave the function
+        untouched; one that breaks the IR anyway is caught by the exit
+        check.  This is the default in the test suite.
         """
         self.passes = passes
         self.max_iterations = max_iterations
@@ -204,9 +220,10 @@ class PassManager:
         self.stats = PassStats()
 
     def run(self, func: Function) -> PassStats:
-        from repro.ir.verify import verify_function
-
         size = _ir_size(func)
+        # Passes that ran since the last verification (all reported
+        # no change): the suspects if the exit check fails.
+        unverified: List[str] = []
         for _ in range(self.max_iterations):
             any_changed = False
             for name, pass_fn in self.passes:
@@ -218,14 +235,15 @@ class PassManager:
                                   result.changed, size, after)
                 size = after
                 if self.verify:
-                    try:
-                        verify_function(func)
-                    except Exception as exc:
-                        raise AssertionError(
-                            f"pass {name!r} broke {func.name!r}: {exc}"
-                        ) from exc
+                    if result.changed:
+                        verify_after(func, name)
+                        unverified.clear()
+                    elif name not in unverified:
+                        unverified.append(name)
                 any_changed = any_changed or result.changed
             self.stats.runs += 1
             if not any_changed:
                 break
+        if self.verify:
+            verify_after(func, ", ".join(unverified) or "<exit>")
         return self.stats

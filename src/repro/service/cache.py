@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import inspect
 import json
+import os
 import threading
 import zlib
 from collections import OrderedDict
@@ -390,15 +391,26 @@ class _CacheShard:
             self._insert(key, artifact)
         path = self.path_for(key)
         if path is not None and not path.exists():
+            # Write a private temp file and rename it into place: a
+            # concurrent reader (thread or process) sees either no
+            # entry or a whole one, never a torn file it would count
+            # as corrupt and unlink.
+            tmp = path.with_name(
+                f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
             try:
                 path.parent.mkdir(parents=True, exist_ok=True)
-                path.write_bytes(serialize_artifact(artifact))
+                tmp.write_bytes(serialize_artifact(artifact))
+                os.replace(tmp, path)
             except OSError:
                 # Persistence is an optimization; a read-only persist
                 # dir must not fail the compile that produced the
                 # artifact.  Surface it instead of looping silently.
                 with self._lock:
                     self.stats.io_errors += 1
+                try:
+                    tmp.unlink(missing_ok=True)
+                except OSError:
+                    pass                # the failure is counted above
 
     def clear(self) -> None:
         with self._lock:

@@ -220,6 +220,17 @@ class TestVerifier:
         with pytest.raises(IRVerifyError):
             verify_function(func)
 
+    def test_instruction_subclass_is_checked_as_its_base(self):
+        from repro.jit.addrfold import LoadIndexed
+        func = Function("bad", ty.I32)
+        base = func.new_param(ty.U64, "p")
+        block = func.new_block("entry")
+        dst = func.new_reg(ty.I64)
+        block.append(LoadIndexed(dst, base, Const(0, ty.U64), ty.I32))
+        block.append(Ret(Const(0, ty.I32)))
+        with pytest.raises(IRVerifyError, match="load dst type mismatch"):
+            verify_function(func)
+
     def test_lowered_sources_always_verify(self):
         module = lower_checked("""
             int gcd(int a, int b) {
@@ -232,3 +243,94 @@ class TestVerifier:
                 return acc;
             }""")
         assert len(list(module)) == 2   # verification happens in helper
+
+
+class TestVerifierDominanceMessages:
+    """Each branch of the defs-dominate-uses check, with its exact
+    message (the single-walk verifier must report the same first
+    violation, worded the same, as a block-by-block check)."""
+
+    @staticmethod
+    def message(func):
+        with pytest.raises(IRVerifyError) as info:
+            verify_function(func)
+        return str(info.value)
+
+    def test_use_before_its_def_in_the_same_block(self):
+        func = Function("bad", ty.I32)
+        block = func.new_block("entry")
+        reg = func.new_reg(ty.I32, "x")
+        copy = func.new_reg(ty.I32)
+        block.append(Move(copy, reg))
+        block.append(Move(reg, Const(1, ty.I32)))
+        block.append(Ret(copy))
+        assert self.message(func) == \
+            "bad: use of %0.x before its def in entry0"
+
+    def test_single_def_that_does_not_dominate_the_use(self):
+        func = Function("bad", ty.I32)
+        cond = func.new_param(ty.I32, "c")
+        entry, then, join = (func.new_block(hint)
+                             for hint in ("entry", "then", "join"))
+        value = func.new_reg(ty.I32, "v")
+        entry.append(Branch(cond, then.label, join.label))
+        then.append(Move(value, Const(1, ty.I32)))
+        then.append(Jump(join.label))
+        join.append(Ret(value))
+        assert self.message(func) == \
+            "bad: use of %1.v in join2 not dominated by its def in then1"
+
+    def test_undefined_register(self):
+        func = Function("bad", ty.I32)
+        block = func.new_block("entry")
+        block.append(Ret(func.new_reg(ty.I32, "ghost")))
+        assert self.message(func) == \
+            "bad: use of undefined register %0.ghost in entry0"
+
+    def test_multi_def_register_used_across_blocks_is_accepted(self):
+        # neither def block dominates ``join``; two defs suffice
+        verify_function(build_diamond())
+        verify_function(build_loop())
+
+    def test_use_in_unreachable_block_is_ignored(self):
+        func = Function("ok", ty.I32)
+        entry = func.new_block("entry")
+        dead = func.new_block("dead")
+        entry.append(Ret(Const(0, ty.I32)))
+        dead.append(Ret(func.new_reg(ty.I32, "ghost")))
+        verify_function(func)
+
+    def test_params_are_defined_at_entry(self):
+        func = Function("ok", ty.I32)
+        n = func.new_param(ty.I32, "n")
+        entry = func.new_block("entry")
+        body = func.new_block("body")
+        copy = func.new_reg(ty.I32)
+        entry.append(Move(copy, n))
+        entry.append(Jump(body.label))
+        # a param redefined in another block is a multi-def register
+        body.append(Move(n, copy))
+        body.append(Ret(n))
+        verify_function(func)
+
+    def test_first_violation_in_walk_order_wins(self):
+        func = Function("bad", ty.I32)
+        entry = func.new_block("entry")
+        tail = func.new_block("tail")
+        entry.append(Move(func.new_reg(ty.I32, "a"),
+                          func.new_reg(ty.I32, "first")))
+        entry.append(Jump(tail.label))
+        tail.append(Ret(func.new_reg(ty.I32, "second")))
+        assert self.message(func) == \
+            "bad: use of undefined register %1.first in entry0"
+
+    def test_structural_errors_precede_dominance_errors(self):
+        func = Function("bad", ty.I32)
+        entry = func.new_block("entry")
+        tail = func.new_block("tail")
+        entry.append(Move(func.new_reg(ty.I32, "a"),
+                          func.new_reg(ty.I32, "ghost")))
+        entry.append(Jump(tail.label))
+        tail.append(Ret(Const(1, ty.I64)))
+        assert self.message(func) == \
+            "bad: tail1: return type i64 != i32: ret 1:i64"

@@ -10,8 +10,8 @@ from repro.ir import (
 from repro.ir.cfg import natural_loops
 from repro.lang import types as ty
 from repro.opt import (
-    PassManager, cleanup_passes, constfold, copyprop, cse, dce,
-    simplify_cfg, standard_passes, strength_reduce,
+    PassManager, PassResult, cleanup_passes, constfold, copyprop, cse,
+    dce, simplify_cfg, standard_passes, strength_reduce,
 )
 from repro.opt.ifconvert import if_convert
 from repro.opt.licm import licm
@@ -384,3 +384,179 @@ class TestCountedLoopRecognition:
                 for (int i = 0; i < n; i++) { a[i] = i; n--; }
             }""")
         assert find_counted_loops(func) == []
+
+
+# ---------------------------------------------------------------------------
+# verification under PassManager: after changed passes and once at exit
+# ---------------------------------------------------------------------------
+
+SUM_LOOP = """
+    int f(int *a, int n) {
+        int s = 0;
+        for (int i = 0; i < n; i++) s += a[i] * 2;
+        return s;
+    }"""
+
+
+def _corrupt(func):
+    """Make ``func`` ill-formed: drop the entry block's terminator."""
+    func.entry.instrs.pop()
+
+
+def _count_verify_calls(monkeypatch):
+    import repro.ir.verify as verify_module
+    calls = []
+    original = verify_module.verify_function
+
+    def counted(func):
+        calls.append(func.name)
+        return original(func)
+
+    monkeypatch.setattr(verify_module, "verify_function", counted)
+    return calls
+
+
+class TestPassManagerVerification:
+    def test_changed_pass_that_breaks_ir_is_named(self):
+        def breaker(func):
+            _corrupt(func)
+            return PassResult(changed=True, work=1)
+
+        func = next(iter(lower_source(SUM_LOOP)))
+        manager = PassManager([("dce", dce), ("breaker", breaker)],
+                              verify=True)
+        with pytest.raises(AssertionError,
+                           match="pass 'breaker' broke 'f'"):
+            manager.run(func)
+
+    def test_pass_lying_about_change_is_caught_at_exit(self):
+        def liar(func):
+            _corrupt(func)
+            return PassResult(changed=False, work=1)
+
+        func = next(iter(lower_source(SUM_LOOP)))
+        with pytest.raises(AssertionError, match="pass 'liar' broke 'f'"):
+            PassManager([("liar", liar)], verify=True).run(func)
+
+    def test_unchanged_run_is_still_verified_once(self, monkeypatch):
+        calls = _count_verify_calls(monkeypatch)
+        func = next(iter(lower_source(SUM_LOOP)))
+        PassManager(standard_passes(), verify=True).run(func)
+        calls.clear()
+        stats = PassManager(standard_passes(), verify=True).run(func)
+        assert not any(record.changed for record in stats.records)
+        assert calls == ["f"]
+
+    def test_no_verification_without_verify(self, monkeypatch):
+        calls = _count_verify_calls(monkeypatch)
+        for func in lower_source(SUM_LOOP):
+            PassManager(standard_passes()).run(func)
+        assert calls == []
+
+    def test_verify_calls_are_changed_invocations_plus_one(
+            self, monkeypatch):
+        """Deterministic count gate: a verifying run calls the IR
+        verifier once per pass invocation that changed the function,
+        plus once at exit — never after unchanged passes."""
+        from repro.workloads import ALL_KERNELS
+        calls = _count_verify_calls(monkeypatch)
+        for kernel in ALL_KERNELS.values():
+            for func in lower_source(kernel.source):
+                del calls[:]
+                stats = PassManager(standard_passes(), verify=True).run(func)
+                changed = sum(record.changed for record in stats.records)
+                assert len(calls) == changed + 1, kernel.name
+                assert changed < len(stats.records), kernel.name
+
+    def test_pipeline_verify_calls_count_pseudo_passes(self, monkeypatch):
+        """``run_pipeline`` verifies after ``unroll``/``vectorize``
+        when they change the function, plus once at the exit of each
+        pass-manager run (the pipeline reruns after unrolling)."""
+        from repro.flows import PipelineSpec, run_pipeline
+        from repro.workloads import ALL_KERNELS
+        calls = _count_verify_calls(monkeypatch)
+        spec = PipelineSpec(unroll=2)
+        for kernel in ALL_KERNELS.values():
+            for func in lower_source(kernel.source):
+                del calls[:]
+                stats = run_pipeline(func, spec, verify=True)
+                changed = sum(record.changed for record in stats.records)
+                unrolled = any(record.name == "unroll" and record.changed
+                               for record in stats.records)
+                manager_runs = 2 if unrolled else 1
+                assert len(calls) == changed + manager_runs, kernel.name
+
+    def test_broken_vectorize_is_named(self, monkeypatch):
+        import repro.opt.vectorize as vectorize_module
+        from repro.flows import PipelineSpec, run_pipeline
+
+        def broken_vectorize(func):
+            _corrupt(func)
+            return PassResult(changed=True, work=1)
+
+        monkeypatch.setattr(vectorize_module, "vectorize",
+                            broken_vectorize)
+        func = next(iter(lower_source(SUM_LOOP)))
+        with pytest.raises(AssertionError,
+                           match="pass 'vectorize' broke 'f'"):
+            run_pipeline(func, PipelineSpec(), verify=True)
+
+    def test_broken_unroll_is_named(self, monkeypatch):
+        import repro.opt.unroll as unroll_module
+        from repro.flows import PipelineSpec, run_pipeline
+
+        def broken_unroll(func, factor):
+            _corrupt(func)
+            return PassResult(changed=True, work=1)
+
+        monkeypatch.setattr(unroll_module, "unroll", broken_unroll)
+        func = next(iter(lower_source(SUM_LOOP)))
+        with pytest.raises(AssertionError, match="pass 'unroll' broke 'f'"):
+            run_pipeline(func, PipelineSpec(unroll=2), verify=True)
+
+
+class TestChangedIsHonest:
+    """Skipping verification after unchanged passes is lossless only if
+    a pass reporting ``changed=False`` really left the function alone:
+    every kernel x registered flow x unroll factor, pass by pass."""
+
+    @pytest.mark.parametrize("unroll", [1, 2, 4])
+    def test_unchanged_passes_leave_ir_byte_identical(self, unroll,
+                                                      monkeypatch):
+        import dataclasses
+        import repro.flows as flows
+        import repro.opt.unroll as unroll_module
+        import repro.opt.vectorize as vectorize_module
+        from repro.workloads import ALL_KERNELS
+
+        violations = []
+
+        def honest(name, pass_fn):
+            def run(func, *args):
+                before = format_function(func)
+                result = pass_fn(func, *args)
+                if not result.changed and format_function(func) != before:
+                    violations.append((current[0], name))
+                return result
+            return run
+
+        resolve = flows.resolve_passes
+        monkeypatch.setattr(
+            flows, "resolve_passes",
+            lambda names: [(name, honest(name, fn))
+                           for name, fn in resolve(names)])
+        monkeypatch.setattr(unroll_module, "unroll",
+                            honest("unroll", unroll_module.unroll))
+        monkeypatch.setattr(vectorize_module, "vectorize",
+                            honest("vectorize", vectorize_module.vectorize))
+        current = [None]
+        invocations = 0
+        for kernel in ALL_KERNELS.values():
+            for flow in flows.registered_flows():
+                spec = dataclasses.replace(flow.pipeline, unroll=unroll)
+                current[0] = (kernel.name, flow.name)
+                for func in lower_source(kernel.source):
+                    invocations += len(
+                        flows.run_pipeline(func, spec).records)
+        assert invocations > 0
+        assert violations == []

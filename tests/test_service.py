@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pathlib
+import sys
 import threading
 import time
 
@@ -245,6 +246,23 @@ class TestPersistence:
             assert svc.cache.stats.misses == 1
         finally:
             svc.shutdown()
+
+    def test_failed_rename_leaves_no_entry_and_no_temp_file(
+            self, tmp_path, monkeypatch):
+        """Entries are written to a temp file and renamed into place;
+        a failed rename counts as an ``io_error`` and cleans up."""
+        import os
+
+        def failing_replace(src, dst):
+            raise OSError(28, "no space left", str(dst))
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        cache = ArtifactCache(capacity=2, persist_dir=tmp_path)
+        cache.put("k1", offline_compile(SAXPY, "k1", optimize=False,
+                                        do_vectorize=False))
+        assert cache.stats.io_errors == 1
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+        assert cache.get("k1") is not None      # still served in memory
 
     def test_disk_revival_after_eviction(self, tmp_path):
         svc = CompilationService(cache_capacity=1, persist_dir=tmp_path)
@@ -595,6 +613,76 @@ class TestConcurrentEvictionRaces:
         stats = cache.stats
         assert stats.stores == 8 * rounds
         assert stats.corrupt_entries == 0
+
+    def test_shared_persist_dir_never_reads_a_torn_entry(self, tmp_path):
+        """Two caches on one ``persist_dir`` (as two processes would
+        be): writers on each cache race readers on the other over the
+        same keys.  A reader must see either no entry or a whole one,
+        so nothing is counted corrupt and no entry is lost."""
+        caches = [ArtifactCache(capacity=1, shards=1, persist_dir=tmp_path)
+                  for _ in range(2)]
+        artifacts = {f"s{i}": offline_compile(SAXPY, f"s{i}",
+                                              optimize=False,
+                                              do_vectorize=False)
+                     for i in range(16)}
+        keys = {name: artifact_key(SAXPY, name) for name in artifacts}
+        names = list(artifacts)
+        errors = []
+        barrier = threading.Barrier(8)
+
+        def writer(seed):
+            try:
+                barrier.wait()
+                cache = caches[seed % 2]
+                for i in range(len(names)):
+                    name = names[(seed * 5 + i) % len(names)]
+                    cache.put(keys[name], artifacts[name])
+            except Exception as exc:            # pragma: no cover
+                errors.append(exc)
+
+        def reader(seed):
+            try:
+                barrier.wait()
+                cache = caches[seed % 2]
+                i = 0
+                while not writers_done.is_set():    # read while written
+                    name = names[(seed * 3 + i) % len(names)]
+                    got = cache.get(keys[name])
+                    if got is not None and got.name != name:
+                        errors.append((name, got.name))
+                    i += 1
+            except Exception as exc:            # pragma: no cover
+                errors.append(exc)
+
+        writers_done = threading.Event()
+        writers = [threading.Thread(target=writer, args=(s,))
+                   for s in range(4)]
+        readers = [threading.Thread(target=reader, args=(s,))
+                   for s in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in writers + readers:
+                t.start()
+            for t in writers:
+                t.join(timeout=60)
+            writers_done.set()
+            for t in readers:
+                t.join(timeout=60)
+        finally:
+            writers_done.set()
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in writers + readers)
+        assert not errors, errors
+        assert [c.stats.corrupt_entries for c in caches] == [0, 0]
+        assert [c.stats.io_errors for c in caches] == [0, 0]
+        # every entry is on disk, whole: a fresh cache revives them all
+        fresh = ArtifactCache(capacity=len(names), persist_dir=tmp_path)
+        for name, key in keys.items():
+            revived = fresh.get(key)
+            assert revived is not None and revived.name == name
+        assert fresh.stats.disk_hits == len(names)
+        assert not list(tmp_path.rglob("*.tmp")), "temp files left"
 
     def test_disk_entries_self_heal_after_corruption(self, tmp_path):
         svc = CompilationService(cache_capacity=2, cache_shards=2,
